@@ -131,28 +131,6 @@ timePackedMs(const float *in, std::size_t batch, const PackedWeights& w,
     return best;
 }
 
-/** Best-of-repeats time of one u8·s8 packed dense-layer call. */
-double
-timePackedInt8Ms(const std::uint8_t *qin, std::size_t batch,
-                 const PackedWeightsInt8& w, const float *bias,
-                 float *out, float ascale, float amin,
-                 const GemmTile& tile, SimdLevel level, int repeats)
-{
-    double best = 1e300;
-    for (int r = 0; r < repeats; ++r) {
-        const auto t0 = Clock::now();
-        denseLayerForwardPackedInt8Level(level, qin, batch, w, bias,
-                                         out, true, ascale, amin,
-                                         tile);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      t0)
-                .count();
-        best = std::min(best, ms);
-    }
-    return best;
-}
-
 } // namespace
 
 std::vector<GemmTile>
@@ -195,39 +173,15 @@ defaultGemmTileGrid(std::size_t batch, std::size_t in_dim,
 GemmTuneResult
 tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
              std::vector<GemmTile> candidates, int repeats,
-             std::uint64_t seed, bool trans, EmbDtype dtype)
+             std::uint64_t seed, bool trans)
 {
     if (batch == 0 || out_dim == 0) {
         throw std::invalid_argument(
             "tuneGemmTile: batch and out_dim must be >= 1");
     }
-    if (dtype == EmbDtype::Bf16) {
-        throw std::invalid_argument(
-            "tuneGemmTile: bf16 is an embedding-storage format; the "
-            "MLPs run the fp32 engine for it — tune fp32 or int8");
-    }
-    if (trans && dtype == EmbDtype::Int8) {
-        throw std::invalid_argument(
-            "tuneGemmTile: the u8·s8 engine has no n-major "
-            "(transposed-activation) variant");
-    }
     const SimdLevel level = currentSimdLevel();
-    if (candidates.empty()) {
-        if (dtype == EmbDtype::Int8) {
-            // The int8 driver keeps the full depth in registers (kc
-            // is ignored), so candidates differ only in microtile
-            // height; oversize mr is clamped by the driver.
-            for (std::size_t mr : {std::size_t(1), std::size_t(2),
-                                   std::size_t(4), std::size_t(6)}) {
-                if (mr <= std::max<std::size_t>(batch, 1) || mr == 1)
-                    candidates.push_back(
-                        GemmTile{mr, std::max<std::size_t>(in_dim, 1)});
-            }
-            candidates.push_back(GemmTile{}); // driver default
-        } else {
-            candidates = defaultGemmTileGrid(batch, in_dim, level);
-        }
-    }
+    if (candidates.empty())
+        candidates = defaultGemmTileGrid(batch, in_dim, level);
     repeats = std::max(repeats, 1);
 
     // Trans activations are feature-major [in_dim x batch]; same
@@ -248,7 +202,6 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
     res.outDim = out_dim;
     res.level = level;
     res.trans = trans;
-    res.dtype = dtype;
 
     // Warm caches once, then time the scalar blocked baseline the
     // packed engine replaced.
@@ -269,46 +222,26 @@ tuneGemmTile(std::size_t batch, std::size_t in_dim, std::size_t out_dim,
     }
 
     res.bestMs = 1e300;
-    if (dtype == EmbDtype::Int8) {
-        // Quantize once up front: the cost is per-dispatch in the real
-        // forward, identical for every candidate tile.
-        const PackedWeightsInt8 qpacked(weights.data(), in_dim,
-                                        out_dim);
-        std::vector<std::uint8_t> qin(batch * qpacked.paddedK());
-        const QuantParams qp = quantizeActivationsInt8(
-            in.data(), batch, in_dim, qpacked.paddedK(), qin.data());
-        for (const GemmTile& tile : candidates) {
-            const double ms = timePackedInt8Ms(
-                qin.data(), batch, qpacked, bias.data(), out.data(),
-                qp.scale, qp.bias, tile, level, repeats);
-            res.measurements.push_back({tile, ms});
-            if (ms < res.bestMs) {
-                res.bestMs = ms;
-                res.best = tile;
-            }
-        }
-    } else {
-        for (const GemmTile& tile : candidates) {
-            const double ms =
-                timePackedMs(in.data(), batch, packed, bias.data(),
-                             out.data(), tile, level, repeats, trans);
-            res.measurements.push_back({tile, ms});
-            if (ms < res.bestMs) {
-                res.bestMs = ms;
-                res.best = tile;
-            }
+    for (const GemmTile& tile : candidates) {
+        const double ms =
+            timePackedMs(in.data(), batch, packed, bias.data(),
+                         out.data(), tile, level, repeats, trans);
+        res.measurements.push_back({tile, ms});
+        if (ms < res.bestMs) {
+            res.bestMs = ms;
+            res.best = tile;
         }
     }
 
     GemmTileCache::instance().install(batch, in_dim, out_dim, level,
-                                      res.best, trans, dtype);
+                                      res.best, trans);
     return res;
 }
 
 std::vector<GemmTuneResult>
 tuneMlpGemm(const std::vector<std::size_t>& dims,
             std::vector<std::size_t> batches, int repeats,
-            std::uint64_t seed, EmbDtype dtype)
+            std::uint64_t seed)
 {
     if (dims.size() < 2) {
         throw std::invalid_argument(
@@ -322,19 +255,14 @@ tuneMlpGemm(const std::vector<std::size_t>& dims,
     for (const std::size_t m : batches) {
         for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
             results.push_back(tuneGemmTile(m, dims[l], dims[l + 1], {},
-                                           repeats, seed + l,
-                                           /*trans=*/false, dtype));
+                                           repeats, seed + l));
         }
         // The first layer is the one the streaming pipeline feeds
         // feature-major (interaction output without a repack), so
-        // also tune its n-major engine slot. The pipeline (and thus
-        // the n-major engine) is fp32-only.
-        if (dtype != EmbDtype::Int8) {
-            results.push_back(tuneGemmTile(m, dims[0], dims[1], {},
-                                           repeats,
-                                           seed + dims.size(),
-                                           /*trans=*/true));
-        }
+        // also tune its n-major engine slot.
+        results.push_back(tuneGemmTile(m, dims[0], dims[1], {}, repeats,
+                                       seed + dims.size(),
+                                       /*trans=*/true));
     }
     return results;
 }

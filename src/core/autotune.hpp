@@ -96,7 +96,6 @@ struct GemmTuneResult
     std::size_t outDim = 0;
     SimdLevel level = SimdLevel::Scalar; //!< dispatch level tuned at
     bool trans = false;     //!< n-major (transposed-activation) engine
-    EmbDtype dtype = EmbDtype::Fp32; //!< engine tuned (fp32 or u8·s8)
     GemmTile best;          //!< fastest tile (installed in the cache)
     double bestMs = 0.0;
     double baselineMs = 0.0; //!< scalar blocked denseLayerForward
@@ -137,26 +136,13 @@ std::vector<GemmTile> defaultGemmTileGrid(std::size_t batch,
  *        [in_dim x batch] and the winner installs under the
  *        trans-keyed cache slot the streaming pipeline's first
  *        top-MLP layer consults.
- * @param dtype EmbDtype::Int8 tunes the u8·s8 packed engine instead:
- *        activations are pre-quantized once (quantization cost is
- *        per-dispatch, not per-tile) and candidates run through
- *        denseLayerForwardPackedInt8Level. The int8 driver keeps the
- *        full depth in registers, so only the microtile height mr
- *        distinguishes candidates; the default grid reflects that.
- *        baselineMs stays the *fp32* scalar blocked kernel, making
- *        speedup() the measured quantization win. Int8 has no n-major
- *        engine — trans && dtype==Int8 throws.
- *
- * @throws std::invalid_argument on batch/out_dim == 0, on
- *         trans && dtype == Int8, or on dtype == Bf16 (bf16 is an
- *         embedding-storage format; the MLPs run fp32 for it).
+ * @throws std::invalid_argument on batch/out_dim == 0.
  */
 GemmTuneResult tuneGemmTile(std::size_t batch, std::size_t in_dim,
                             std::size_t out_dim,
                             std::vector<GemmTile> candidates = {},
                             int repeats = 3, std::uint64_t seed = 1,
-                            bool trans = false,
-                            EmbDtype dtype = EmbDtype::Fp32);
+                            bool trans = false);
 
 /**
  * Tunes every layer shape of an MLP size list (e.g.
@@ -167,16 +153,11 @@ GemmTuneResult tuneGemmTile(std::size_t batch, std::size_t in_dim,
  * the streaming pipeline feeds with the feature-major interaction
  * output — so both cache slots are warm. Returns one GemmTuneResult
  * per (batch, layer[, trans]) point, layers innermost.
- *
- * @param dtype EmbDtype::Int8 tunes the u8·s8 engine's cache slots
- *        instead (and skips the n-major point — the int8 engine has
- *        no trans variant). Serving warms both dtypes so a
- *        degradation tier switch never runs untuned.
  */
 std::vector<GemmTuneResult> tuneMlpGemm(
     const std::vector<std::size_t>& dims,
     std::vector<std::size_t> batches = {}, int repeats = 3,
-    std::uint64_t seed = 1, EmbDtype dtype = EmbDtype::Fp32);
+    std::uint64_t seed = 1);
 
 } // namespace dlrmopt::core
 

@@ -131,13 +131,6 @@ ForwardWorkspace::reserve(const DlrmModel& model, std::size_t max_batch,
         s.pred.reshape(max_batch, 1);
         s.mlpA.reshape(max_batch, widest);
         s.mlpB.reshape(max_batch, widest);
-        // Int8 activation staging: the widest quantized layer input
-        // across both MLPs (paddedK is per-layer; the buffer is
-        // resized down per call without reallocating).
-        const std::size_t max_padded_k =
-            std::max(model.bottomMlp().maxPaddedK(),
-                     model.topMlp().maxPaddedK());
-        s.qact.reserve(max_batch * max_padded_k);
         s.embPtrs.reserve(cfg.tables);
         s.concat.indices.resize(cfg.tables);
         s.concat.offsets.resize(cfg.tables);
@@ -156,21 +149,11 @@ ForwardWorkspace::forward(const DlrmModel& model, const Tensor& dense,
 {
     assert(sparse.batchSize <= _maxBatch);
     StageBuffers& s = _sets[0];
-    if (dtype == EmbDtype::Int8) {
-        model.bottomMlp().forwardInt8(dense, s.bottomOut, s.mlpA,
-                                      s.mlpB, s.qact);
-    } else {
-        model.bottomMlp().forward(dense, s.bottomOut, s.mlpA, s.mlpB);
-    }
+    model.bottomMlp().forward(dense, s.bottomOut, s.mlpA, s.mlpB);
     model.embeddingForward(sparse, s.embOut, pf, dtype, tier);
     model.interactionForward(s.bottomOut, s.embOut, sparse.batchSize,
                              s.interOut, s.embPtrs);
-    if (dtype == EmbDtype::Int8) {
-        model.topMlp().forwardInt8(s.interOut, s.pred, s.mlpA, s.mlpB,
-                                   s.qact);
-    } else {
-        model.topMlp().forward(s.interOut, s.pred, s.mlpA, s.mlpB);
-    }
+    model.topMlp().forward(s.interOut, s.pred, s.mlpA, s.mlpB);
     sigmoidInplace(s.pred.data(), s.pred.size());
     _lastCompute = 0;
     return s.pred;
@@ -250,7 +233,6 @@ ForwardWorkspace::bufferFingerprint() const
         hashPtr(h, s.pred.data());
         hashPtr(h, s.mlpA.data());
         hashPtr(h, s.mlpB.data());
-        hashPtr(h, s.qact.data());
         hashPtr(h, s.dense.data());
         hashPtr(h, s.embPtrs.data());
         for (const auto& v : s.concat.indices)

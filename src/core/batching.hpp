@@ -111,7 +111,6 @@ struct StageBuffers
     Tensor mlpA;             //!< MLP ping-pong scratch
     Tensor mlpB;
     std::vector<const float *> embPtrs; //!< interaction pointer table
-    std::vector<std::uint8_t> qact;     //!< int8 activation staging
 };
 
 /**
@@ -168,12 +167,11 @@ class ForwardWorkspace
      * a fresh DlrmWorkspace.
      *
      * @param dense Dense features [sparse.batchSize x denseDim].
-     * @param dtype Inference precision (see DlrmModel::forward):
-     *        Bf16 swaps in the bf16 fused-dequant bags, Int8 the int8
-     *        bags plus the u8·s8 MLP engine staged through the set's
-     *        qact buffer. (The streamed pipeline quantizes only its
-     *        gather stage — see stageGather — its compute stages run
-     *        fp32.)
+     * @param dtype Embedding storage format (see DlrmModel::forward):
+     *        Bf16 and Int8 swap in the matching fused-dequant bags;
+     *        the MLPs run the fp32 packed engine at every dtype, so
+     *        this path and the streamed pipeline compute the same
+     *        predictions.
      * @param tier Optional hot tier for the embedding stage (see
      *        DlrmModel::embeddingForward); bitwise-identical output
      *        with or without it.
@@ -221,11 +219,11 @@ class ForwardWorkspace
      * run concurrently with a stageCompute on the other set; the
      * caller serializes successive gathers.
      *
-     * @param dtype Precision of the embedding bags (the stage this
-     *        lane exists to overlap is exactly the bandwidth-bound
-     *        one quantization accelerates). The compute stages stay
-     *        fp32 regardless — pooled bag outputs are fp32 at every
-     *        precision, so the handoff is unchanged.
+     * @param dtype Storage format of the embedding bags (the stage
+     *        this lane exists to overlap is exactly the
+     *        bandwidth-bound one quantization accelerates). Pooled bag
+     *        outputs are fp32 at every dtype, and the compute stage
+     *        runs fp32 MLPs, so the handoff is unchanged.
      * @param tier Optional hot tier for the staged bags (see
      *        DlrmModel::embeddingForward).
      */

@@ -115,12 +115,9 @@ DlrmModel::attachQuantizedStore(
 
 void
 DlrmModel::bottomForward(const Tensor& dense, Tensor& out,
-                         EmbDtype dtype) const
+                         EmbDtype) const
 {
-    if (dtype == EmbDtype::Int8)
-        _bottom.forwardInt8(dense, out);
-    else
-        _bottom.forward(dense, out);
+    _bottom.forward(dense, out);
 }
 
 void
@@ -190,12 +187,9 @@ DlrmModel::interactionForwardTransposed(
 
 void
 DlrmModel::topForward(const Tensor& inter_out, Tensor& pred,
-                      EmbDtype dtype) const
+                      EmbDtype) const
 {
-    if (dtype == EmbDtype::Int8)
-        _top.forwardInt8(inter_out, pred);
-    else
-        _top.forward(inter_out, pred);
+    _top.forward(inter_out, pred);
     sigmoidInplace(pred.data(), pred.size());
 }
 
@@ -209,11 +203,11 @@ DlrmModel::forward(const Tensor& dense, const SparseBatch& sparse,
             "DlrmModel::forward: shard views cannot run the full pass; "
             "merge shard embedding blocks with mergeShardEmbeddings()");
     }
-    bottomForward(dense, ws.bottomOut, dtype);
+    bottomForward(dense, ws.bottomOut);
     embeddingForward(sparse, ws.embOut, pf, dtype, tier);
     interactionForward(ws.bottomOut, ws.embOut, sparse.batchSize,
                        ws.interOut);
-    topForward(ws.interOut, ws.pred, dtype);
+    topForward(ws.interOut, ws.pred);
 }
 
 void

@@ -184,13 +184,11 @@ class DlrmModel
 
     /**
      * Runs the bottom MLP: dense [batch x denseDim] -> [batch x dim].
-     * @p dtype Int8 routes through the u8·s8 packed engine; Fp32 and
-     * Bf16 run the fp32 engine (bf16 is an embedding-storage format —
-     * the MLPs have no bf16 kernel, so a bf16 tier pairs bf16 bags
-     * with fp32 GEMMs).
+     * The EmbDtype argument is accepted; the MLPs run fp32 at every
+     * dtype (bf16 and int8 are embedding-storage formats only).
      */
     void bottomForward(const Tensor& dense, Tensor& out,
-                       EmbDtype dtype = EmbDtype::Fp32) const;
+                       EmbDtype = EmbDtype::Fp32) const;
 
     /**
      * Runs the embedding lookup stage over this view's tables.
@@ -249,9 +247,10 @@ class DlrmModel
         std::vector<const float *>& emb_scratch) const;
 
     /** Runs the top MLP and sigmoid, producing CTR predictions.
-     *  @p dtype routes the MLP like bottomForward. */
+     *  The EmbDtype argument is accepted; the MLPs run fp32 at every
+     *  dtype. */
     void topForward(const Tensor& inter_out, Tensor& pred,
-                    EmbDtype dtype = EmbDtype::Fp32) const;
+                    EmbDtype = EmbDtype::Fp32) const;
 
     /**
      * Full end-to-end forward pass (sequential stage order).
@@ -260,11 +259,12 @@ class DlrmModel
      * @param sparse Sparse lookups for the same batch.
      * @param ws Scratch workspace (reused across calls).
      * @param pf Software-prefetch configuration.
-     * @param dtype Inference precision: Fp32 is the exact baseline;
-     *        Bf16 runs bf16 fused-dequant bags (fp32 MLPs); Int8 runs
-     *        int8 bags plus the u8·s8 MLP path. Quantized dtypes are
-     *        accuracy-budget approximations of fp32, each bitwise
-     *        deterministic in its own right.
+     * @param dtype Embedding storage format: Fp32 is the exact
+     *        baseline; Bf16 and Int8 run the matching fused-dequant
+     *        bags over the attached quantized store. The MLPs run fp32
+     *        at every dtype. Quantized dtypes are accuracy-budget
+     *        approximations of fp32, each bitwise deterministic in
+     *        its own right.
      * @param tier Optional hot tier for the embedding stage (see
      *        embeddingForward); predictions are bitwise-identical
      *        with or without it.

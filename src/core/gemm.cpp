@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/simd.hpp"
@@ -266,344 +265,6 @@ microSetFor(SimdLevel level, bool trans = false)
 }
 
 /**
- * One u8·s8 microkernel invocation: rows [0, MR) of quantized
- * activations against one s8 panel, producing an MR x NR block of
- * fp32 output with the dequant+bias+ReLU epilogue fused into the
- * store. Unlike the fp32 MicroFn there is no k-chunking: the s32
- * accumulators live entirely in registers for the full depth (a
- * 127*127*2 pair-dot per step never saturates s16, and s32 overflow
- * would need a depth beyond 2^16 — far past any MLP here), so no
- * partial sums ever round-trip through memory.
- *
- * @param a Quantized activation row 0 (row stride @p lda = paddedK).
- * @param kp Number of k pairs (paddedK / 2; may be 0: epilogue only).
- * @param cscale Panel's colScale slice (already offset, padded).
- * @param cwsum Panel's colWsum slice (already offset, padded).
- * @param ascale / @p amin Activation (scale, bias) pair.
- */
-using MicroFnInt8 = void (*)(const std::uint8_t *a, std::size_t lda,
-                             const std::int8_t *pb, std::size_t kp,
-                             float *c, std::size_t ldc, std::size_t nv,
-                             const float *bias, const float *cscale,
-                             const float *cwsum, float ascale,
-                             float amin, bool relu);
-
-/**
- * Scalar mirror of the u8·s8 kernels: the integer pair-dot is exact
- * (identical in every variant by arithmetic, not by op order), and the
- * float epilogue is the fixed 3-op chain
- *   v = fmaf((float)dot, ascale * cscale[j],
- *            fmaf(amin, cwsum[j], bias[j]))
- * matching the vector lanes bitwise ((float)dot and cvtepi32_ps both
- * round to nearest).
- */
-template <int MR>
-void
-microScalarInt8(const std::uint8_t *a, std::size_t lda,
-                const std::int8_t *pb, std::size_t kp, float *c,
-                std::size_t ldc, std::size_t nv, const float *bias,
-                const float *cscale, const float *cwsum, float ascale,
-                float amin, bool relu)
-{
-    for (int m = 0; m < MR; ++m) {
-        const std::size_t mu = static_cast<std::size_t>(m);
-        const std::uint8_t *am = a + mu * lda;
-        float *cm = c + mu * ldc;
-        for (std::size_t j = 0; j < nv; ++j) {
-            std::int32_t acc = 0;
-            for (std::size_t k = 0; k < kp; ++k) {
-                const int a0 = am[2 * k];
-                const int a1 = am[2 * k + 1];
-                const int w0 = pb[k * 2 * NR + j * 2];
-                const int w1 = pb[k * 2 * NR + j * 2 + 1];
-                acc += a0 * w0 + a1 * w1;
-            }
-            const float combined = ascale * cscale[j];
-            const float off =
-                std::fmaf(amin, cwsum[j], bias ? bias[j] : 0.0f);
-            float v =
-                std::fmaf(static_cast<float>(acc), combined, off);
-            if (relu)
-                v = v > 0.0f ? v : 0.0f;
-            cm[j] = v;
-        }
-    }
-}
-
-constexpr std::array<MicroFnInt8, 4> kScalarInt8Fns = {
-    microScalarInt8<1>, microScalarInt8<2>, microScalarInt8<3>,
-    microScalarInt8<4>};
-
-#if DLRMOPT_GEMM_HAVE_AVX2
-/**
- * 4x16 AVX2 u8·s8 microkernel: maddubs one 32-byte panel row (16
- * columns x 2 k codes) against a broadcast activation byte pair,
- * widen the 16 s16 pair-dots to s32, and accumulate in two ymm per
- * sample row.
- */
-template <int MR>
-void
-microAvx2Int8(const std::uint8_t *a, std::size_t lda,
-              const std::int8_t *pb, std::size_t kp, float *c,
-              std::size_t ldc, std::size_t nv, const float *bias,
-              const float *cscale, const float *cwsum, float ascale,
-              float amin, bool relu)
-{
-    const std::size_t v0 = nv < 8 ? nv : 8;
-    const std::size_t v1 = nv > 8 ? nv - 8 : 0;
-    const __m256i m0 = avx2Mask(v0);
-    const __m256i m1 = avx2Mask(v1);
-
-    __m256i acc[MR][2];
-    for (int m = 0; m < MR; ++m) {
-        acc[m][0] = _mm256_setzero_si256();
-        acc[m][1] = _mm256_setzero_si256();
-    }
-    for (std::size_t k = 0; k < kp; ++k) {
-        const __m256i wv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pb + k * 2 * NR));
-        for (int m = 0; m < MR; ++m) {
-            const std::uint8_t *am =
-                a + static_cast<std::size_t>(m) * lda + 2 * k;
-            const int pair = am[0] | (am[1] << 8);
-            const __m256i av =
-                _mm256_set1_epi16(static_cast<short>(pair));
-            const __m256i prod = _mm256_maddubs_epi16(av, wv);
-            acc[m][0] = _mm256_add_epi32(
-                acc[m][0],
-                _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
-            acc[m][1] = _mm256_add_epi32(
-                acc[m][1],
-                _mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(prod, 1)));
-        }
-    }
-    const __m256 vscale = _mm256_set1_ps(ascale);
-    const __m256 vmin = _mm256_set1_ps(amin);
-    const __m256 comb0 =
-        _mm256_mul_ps(vscale, _mm256_loadu_ps(cscale));
-    const __m256 comb1 =
-        _mm256_mul_ps(vscale, _mm256_loadu_ps(cscale + 8));
-    const __m256 b0 =
-        bias ? _mm256_maskload_ps(bias, m0) : _mm256_setzero_ps();
-    const __m256 b1 =
-        bias ? _mm256_maskload_ps(bias + 8, m1) : _mm256_setzero_ps();
-    const __m256 off0 =
-        _mm256_fmadd_ps(vmin, _mm256_loadu_ps(cwsum), b0);
-    const __m256 off1 =
-        _mm256_fmadd_ps(vmin, _mm256_loadu_ps(cwsum + 8), b1);
-    const __m256 z = _mm256_setzero_ps();
-    for (int m = 0; m < MR; ++m) {
-        float *cm = c + static_cast<std::size_t>(m) * ldc;
-        __m256 r0 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(acc[m][0]),
-                                    comb0, off0);
-        __m256 r1 = _mm256_fmadd_ps(_mm256_cvtepi32_ps(acc[m][1]),
-                                    comb1, off1);
-        if (relu) {
-            r0 = _mm256_max_ps(r0, z);
-            r1 = _mm256_max_ps(r1, z);
-        }
-        _mm256_maskstore_ps(cm, m0, r0);
-        _mm256_maskstore_ps(cm + 8, m1, r1);
-    }
-}
-
-constexpr std::array<MicroFnInt8, 4> kAvx2Int8Fns = {
-    microAvx2Int8<1>, microAvx2Int8<2>, microAvx2Int8<3>,
-    microAvx2Int8<4>};
-#endif
-
-#if DLRMOPT_GEMM_HAVE_AVX512 && DLRMOPT_GEMM_HAVE_AVX2
-/**
- * 6x16 AVX-512 u8·s8 microkernel: the same maddubs pair-dot widened
- * straight to one zmm s32 accumulator per sample row (no VNNI
- * dependence — vpmaddubsw + vpmovsxwd + vpaddd run on any AVX-512F
- * part).
- */
-template <int MR>
-void
-microAvx512Int8(const std::uint8_t *a, std::size_t lda,
-                const std::int8_t *pb, std::size_t kp, float *c,
-                std::size_t ldc, std::size_t nv, const float *bias,
-                const float *cscale, const float *cwsum, float ascale,
-                float amin, bool relu)
-{
-    const __mmask16 mask =
-        nv >= NR ? static_cast<__mmask16>(0xffff)
-                 : static_cast<__mmask16>((1u << nv) - 1u);
-
-    __m512i acc[MR];
-    for (int m = 0; m < MR; ++m)
-        acc[m] = _mm512_setzero_si512();
-    for (std::size_t k = 0; k < kp; ++k) {
-        const __m256i wv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pb + k * 2 * NR));
-        for (int m = 0; m < MR; ++m) {
-            const std::uint8_t *am =
-                a + static_cast<std::size_t>(m) * lda + 2 * k;
-            const int pair = am[0] | (am[1] << 8);
-            const __m256i av =
-                _mm256_set1_epi16(static_cast<short>(pair));
-            const __m256i prod = _mm256_maddubs_epi16(av, wv);
-            acc[m] =
-                _mm512_add_epi32(acc[m], _mm512_cvtepi16_epi32(prod));
-        }
-    }
-    const __m512 comb = _mm512_mul_ps(_mm512_set1_ps(ascale),
-                                      _mm512_loadu_ps(cscale));
-    const __m512 bv =
-        bias ? _mm512_maskz_loadu_ps(mask, bias) : _mm512_setzero_ps();
-    const __m512 off = _mm512_fmadd_ps(_mm512_set1_ps(amin),
-                                       _mm512_loadu_ps(cwsum), bv);
-    const __m512 z = _mm512_setzero_ps();
-    for (int m = 0; m < MR; ++m) {
-        __m512 r = _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc[m]), comb,
-                                   off);
-        if (relu)
-            r = _mm512_max_ps(r, z);
-        _mm512_mask_storeu_ps(c + static_cast<std::size_t>(m) * ldc,
-                              mask, r);
-    }
-}
-
-constexpr std::array<MicroFnInt8, 6> kAvx512Int8Fns = {
-    microAvx512Int8<1>, microAvx512Int8<2>, microAvx512Int8<3>,
-    microAvx512Int8<4>, microAvx512Int8<5>, microAvx512Int8<6>};
-#endif
-
-#if DLRMOPT_GEMM_HAVE_AVX512 && defined(__AVX512VNNI__)
-#define DLRMOPT_GEMM_HAVE_VNNI 1
-/**
- * 6x16 AVX512-VNNI u8·s8 microkernel: one vpdpbusd per (sample row,
- * k quad) fuses the widening chain of the maddubs path — 4 u8·s8
- * products summed into the s32 accumulator directly, with no
- * saturation possible (each product fits s16, the quad-sum fits s32).
- * The integer dot is therefore the *exact* same value the widening
- * path accumulates, and the shared float epilogue makes the output
- * bitwise-identical. @p pb must be the quad-interleaved panelVnni
- * layout; @p kp stays the driver's pair count (quads = kp / 2).
- */
-template <int MR>
-void
-microAvx512VnniInt8(const std::uint8_t *a, std::size_t lda,
-                    const std::int8_t *pb, std::size_t kp, float *c,
-                    std::size_t ldc, std::size_t nv, const float *bias,
-                    const float *cscale, const float *cwsum,
-                    float ascale, float amin, bool relu)
-{
-    const __mmask16 mask =
-        nv >= NR ? static_cast<__mmask16>(0xffff)
-                 : static_cast<__mmask16>((1u << nv) - 1u);
-
-    __m512i acc[MR];
-    for (int m = 0; m < MR; ++m)
-        acc[m] = _mm512_setzero_si512();
-    const std::size_t kq = kp / 2; // paddedK is a multiple of 4
-    for (std::size_t q = 0; q < kq; ++q) {
-        const __m512i wv = _mm512_loadu_si512(pb + q * 4 * NR);
-        for (int m = 0; m < MR; ++m) {
-            const std::uint8_t *am =
-                a + static_cast<std::size_t>(m) * lda + 4 * q;
-            std::uint32_t quad;
-            std::memcpy(&quad, am, sizeof(quad));
-            const __m512i av =
-                _mm512_set1_epi32(static_cast<int>(quad));
-            acc[m] = _mm512_dpbusd_epi32(acc[m], av, wv);
-        }
-    }
-    const __m512 comb = _mm512_mul_ps(_mm512_set1_ps(ascale),
-                                      _mm512_loadu_ps(cscale));
-    const __m512 bv =
-        bias ? _mm512_maskz_loadu_ps(mask, bias) : _mm512_setzero_ps();
-    const __m512 off = _mm512_fmadd_ps(_mm512_set1_ps(amin),
-                                       _mm512_loadu_ps(cwsum), bv);
-    const __m512 z = _mm512_setzero_ps();
-    for (int m = 0; m < MR; ++m) {
-        __m512 r = _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc[m]), comb,
-                                   off);
-        if (relu)
-            r = _mm512_max_ps(r, z);
-        _mm512_mask_storeu_ps(c + static_cast<std::size_t>(m) * ldc,
-                              mask, r);
-    }
-}
-
-constexpr std::array<MicroFnInt8, 6> kAvx512VnniInt8Fns = {
-    microAvx512VnniInt8<1>, microAvx512VnniInt8<2>,
-    microAvx512VnniInt8<3>, microAvx512VnniInt8<4>,
-    microAvx512VnniInt8<5>, microAvx512VnniInt8<6>};
-#else
-#define DLRMOPT_GEMM_HAVE_VNNI 0
-#endif
-
-/** Per-level u8·s8 kernel family. @c vnni selects the
- *  quad-interleaved panel layout in the driver. */
-struct MicroSetInt8
-{
-    const MicroFnInt8 *fns;
-    std::size_t maxMr;
-    bool vnni = false;
-};
-
-MicroSetInt8
-microSetForInt8(SimdLevel level)
-{
-#if DLRMOPT_GEMM_HAVE_VNNI
-    // Runtime-gated: compiled in whenever the build targets VNNI, but
-    // dispatched only when the host exposes it (and tests haven't
-    // forced the widening path via setVnniEnabled(false)).
-    if (level == SimdLevel::Avx512 && vnniEnabled())
-        return {kAvx512VnniInt8Fns.data(), kAvx512VnniInt8Fns.size(),
-                true};
-#endif
-#if DLRMOPT_GEMM_HAVE_AVX512 && DLRMOPT_GEMM_HAVE_AVX2
-    if (level == SimdLevel::Avx512)
-        return {kAvx512Int8Fns.data(), kAvx512Int8Fns.size()};
-#endif
-#if DLRMOPT_GEMM_HAVE_AVX2
-    if (level != SimdLevel::Scalar)
-        return {kAvx2Int8Fns.data(), kAvx2Int8Fns.size()};
-#endif
-    (void)level;
-    return {kScalarInt8Fns.data(), kScalarInt8Fns.size()};
-}
-
-/**
- * u8·s8 driver: panels outer, microtiles inner. No k loop — each
- * microtile runs the full (padded) depth out of registers.
- */
-void
-runPackedInt8(const std::uint8_t *qa, std::size_t batch,
-              const PackedWeightsInt8& w, const float *bias, float *out,
-              bool relu, float ascale, float amin, GemmTile tile,
-              const MicroSetInt8& ms)
-{
-    const std::size_t N = w.outDim();
-    if (batch == 0 || N == 0)
-        return;
-    std::size_t mr = tile.mr == 0 ? ms.maxMr : tile.mr;
-    mr = std::min({mr, ms.maxMr, batch});
-    const std::size_t lda = w.paddedK();
-    const std::size_t kp = lda / 2;
-
-    for (std::size_t p = 0; p < w.numPanels(); ++p) {
-        const std::size_t n0 = p * NR;
-        const std::size_t nv = std::min(NR, N - n0);
-        const std::int8_t *pb =
-            ms.vnni ? w.panelVnni(p) : w.panel(p);
-        const float *pbias = bias ? bias + n0 : nullptr;
-        const float *cs = w.colScale() + n0;
-        const float *cw = w.colWsum() + n0;
-        for (std::size_t m0 = 0; m0 < batch; m0 += mr) {
-            const std::size_t mm = std::min(mr, batch - m0);
-            ms.fns[mm - 1](qa + m0 * lda, lda, pb, kp,
-                           out + m0 * N + n0, N, nv, pbias, cs, cw,
-                           ascale, amin, relu);
-        }
-    }
-}
-
-/**
  * Packed-GEMM driver: panels outer, k-chunks middle (the active
  * kc x NR panel slice stays cache-resident across the m-tiles that
  * reuse it), microtiles inner. Chunked partial sums round-trip
@@ -681,83 +342,6 @@ PackedWeights::PackedWeights(const float *weights, std::size_t in_dim,
     }
 }
 
-PackedWeightsInt8::PackedWeightsInt8(const float *weights,
-                                     std::size_t in_dim,
-                                     std::size_t out_dim)
-    : _inDim(in_dim), _outDim(out_dim),
-      _paddedK((in_dim + 3) & ~std::size_t{3})
-{
-    if (weights == nullptr && in_dim * out_dim != 0) {
-        throw std::invalid_argument(
-            "PackedWeightsInt8: null weights for a non-empty shape");
-    }
-    _data.assign(numPanels() * _paddedK * panelWidth, 0);
-    _vnni.assign(numPanels() * _paddedK * panelWidth, 0);
-    _colScale.assign(numPanels() * panelWidth, 0.0f);
-    _colWsum.assign(numPanels() * panelWidth, 0.0f);
-    for (std::size_t p = 0; p < numPanels(); ++p) {
-        const std::size_t n0 = p * panelWidth;
-        const std::size_t nv = std::min(panelWidth, out_dim - n0);
-        std::int8_t *dst = _data.data() + p * _paddedK * panelWidth;
-        std::int8_t *dstV = _vnni.data() + p * _paddedK * panelWidth;
-        for (std::size_t j = 0; j < nv; ++j) {
-            const float *src = weights + (n0 + j) * in_dim;
-            float maxabs = 0.0f;
-            for (std::size_t k = 0; k < in_dim; ++k)
-                maxabs = std::fmax(maxabs, std::fabs(src[k]));
-            const float sw = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-            const float inv = 1.0f / sw;
-            std::int32_t colsum = 0;
-            for (std::size_t k = 0; k < in_dim; ++k) {
-                const float q = std::nearbyintf(src[k] * inv);
-                const float cl =
-                    std::fmin(std::fmax(q, -127.0f), 127.0f);
-                const std::int8_t code =
-                    static_cast<std::int8_t>(cl);
-                dst[(k / 2) * 2 * panelWidth + j * 2 + (k & 1)] = code;
-                dstV[(k / 4) * 4 * panelWidth + j * 4 + (k & 3)] = code;
-                colsum += code;
-            }
-            _colScale[n0 + j] = sw;
-            _colWsum[n0 + j] = sw * static_cast<float>(colsum);
-        }
-    }
-}
-
-QuantParams
-quantizeActivationsInt8(const float *in, std::size_t batch,
-                        std::size_t k, std::size_t kp,
-                        std::uint8_t *qout)
-{
-    QuantParams p;
-    if (batch == 0)
-        return p;
-    if (k == 0) {
-        std::fill(qout, qout + batch * kp, std::uint8_t{0});
-        return p;
-    }
-    float lo = in[0], hi = in[0];
-    for (std::size_t i = 1; i < batch * k; ++i) {
-        lo = std::fmin(lo, in[i]);
-        hi = std::fmax(hi, in[i]);
-    }
-    p.bias = lo;
-    p.scale = hi > lo ? (hi - lo) / 127.0f : 1.0f;
-    const float inv = 1.0f / p.scale;
-    for (std::size_t m = 0; m < batch; ++m) {
-        const float *src = in + m * k;
-        std::uint8_t *dst = qout + m * kp;
-        for (std::size_t i = 0; i < k; ++i) {
-            const float q = std::nearbyintf((src[i] - lo) * inv);
-            const float cl = std::fmin(std::fmax(q, 0.0f), 127.0f);
-            dst[i] = static_cast<std::uint8_t>(cl);
-        }
-        for (std::size_t i = k; i < kp; ++i)
-            dst[i] = 0;
-    }
-    return p;
-}
-
 std::size_t
 gemmMaxRows(SimdLevel level)
 {
@@ -815,11 +399,10 @@ GemmTileCache::bucketRepresentative(int bucket)
 GemmTile
 GemmTileCache::lookup(std::size_t batch, std::size_t in_dim,
                       std::size_t out_dim, SimdLevel level,
-                      bool trans, EmbDtype dtype) const
+                      bool trans) const
 {
     const Key key{bucketOf(batch), in_dim, out_dim,
-                  static_cast<int>(level), trans ? 1 : 0,
-                  static_cast<int>(dtype)};
+                  static_cast<int>(level), trans ? 1 : 0};
     {
         std::lock_guard<std::mutex> lock(_mu);
         const auto it = _tiles.find(key);
@@ -832,11 +415,10 @@ GemmTileCache::lookup(std::size_t batch, std::size_t in_dim,
 bool
 GemmTileCache::contains(std::size_t batch, std::size_t in_dim,
                         std::size_t out_dim, SimdLevel level,
-                        bool trans, EmbDtype dtype) const
+                        bool trans) const
 {
     const Key key{bucketOf(batch), in_dim, out_dim,
-                  static_cast<int>(level), trans ? 1 : 0,
-                  static_cast<int>(dtype)};
+                  static_cast<int>(level), trans ? 1 : 0};
     std::lock_guard<std::mutex> lock(_mu);
     return _tiles.count(key) != 0;
 }
@@ -844,11 +426,10 @@ GemmTileCache::contains(std::size_t batch, std::size_t in_dim,
 void
 GemmTileCache::install(std::size_t batch, std::size_t in_dim,
                        std::size_t out_dim, SimdLevel level,
-                       GemmTile tile, bool trans, EmbDtype dtype)
+                       GemmTile tile, bool trans)
 {
     const Key key{bucketOf(batch), in_dim, out_dim,
-                  static_cast<int>(level), trans ? 1 : 0,
-                  static_cast<int>(dtype)};
+                  static_cast<int>(level), trans ? 1 : 0};
     std::lock_guard<std::mutex> lock(_mu);
     _tiles[key] = tile;
 }
@@ -910,45 +491,6 @@ denseLayerForwardPackedTransLevel(SimdLevel level, const float *in_t,
 {
     runPacked(in_t, batch, w, bias, out, relu, tile,
               microSetFor(level, /*trans=*/true), /*trans=*/true);
-}
-
-void
-denseLayerForwardPackedInt8(const std::uint8_t *qin, std::size_t batch,
-                            const PackedWeightsInt8& w,
-                            const float *bias, float *out, bool relu,
-                            float ascale, float amin)
-{
-    const SimdLevel level = currentSimdLevel();
-    runPackedInt8(qin, batch, w, bias, out, relu, ascale, amin,
-                  GemmTileCache::instance().lookup(
-                      batch, w.inDim(), w.outDim(), level,
-                      /*trans=*/false, EmbDtype::Int8),
-                  microSetForInt8(level));
-}
-
-void
-denseLayerForwardPackedInt8Level(SimdLevel level, const std::uint8_t *qin,
-                                 std::size_t batch,
-                                 const PackedWeightsInt8& w,
-                                 const float *bias, float *out,
-                                 bool relu, float ascale, float amin,
-                                 const GemmTile& tile)
-{
-    runPackedInt8(qin, batch, w, bias, out, relu, ascale, amin, tile,
-                  microSetForInt8(level));
-}
-
-void
-denseLayerForwardInt8(const float *in, std::size_t batch,
-                      const PackedWeightsInt8& w, const float *bias,
-                      float *out, bool relu,
-                      std::vector<std::uint8_t>& qscratch)
-{
-    qscratch.resize(batch * w.paddedK());
-    const QuantParams qp = quantizeActivationsInt8(
-        in, batch, w.inDim(), w.paddedK(), qscratch.data());
-    denseLayerForwardPackedInt8(qscratch.data(), batch, w, bias, out,
-                                relu, qp.scale, qp.bias);
 }
 
 void

@@ -34,13 +34,11 @@
 #define DLRMOPT_CORE_GEMM_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
 #include <vector>
 
-#include "core/quant.hpp"
 #include "core/simd.hpp"
 #include "core/types.hpp"
 
@@ -143,109 +141,6 @@ class PackedWeights
 };
 
 /**
- * One-time int8-quantized panel-packed copy of a dense layer's weight
- * matrix, for the u8·s8 dot-product microkernel path.
- *
- * Weights are quantized symmetrically per output column:
- * W[j][k] ≈ qw[j][k] * scaleW[j], qw in [-127, 127]. Codes are packed
- * into panels of panelWidth output neurons like PackedWeights, but
- * k-pair-interleaved so a 32-byte panel row feeds one maddubs step
- * (16 columns x 2 consecutive k codes):
- *
- *   panel(p)[kp * 32 + j * 2 + (k & 1)] == qw[p*16 + j][k],  kp = k/2
- *
- * with the depth zero-padded to a multiple of 4 (paddedK()) and the
- * tail panel zero-padded to panelWidth — zero codes contribute exact
- * zeros.
- *
- * A second, k-quad-interleaved copy of the same codes is kept for the
- * AVX512-VNNI kernel, whose vpdpbusd step consumes 4 consecutive k
- * codes per column (one 64-byte panel row = 16 columns x 4 codes):
- *
- *   panelVnni(p)[kq * 64 + j * 4 + (k & 3)] == qw[p*16 + j][k],  kq = k/4
- *
- * Both layouts hold identical codes, and both kernels accumulate the
- * exact integer dot (maddubs pair-products cap at 127*127*2 < 2^15,
- * vpdpbusd's quad-sum never saturates for u8·s8), so the two paths
- * produce bitwise-identical output.
- *
- * The epilogue constants are precomputed per column:
- *  - colScale()[j] = scaleW[j] (dequant factor for the s32 dot), and
- *  - colWsum()[j] = scaleW[j] * sum_k qw[j][k], which folds the
- *    activation zero-point out of the integer loop: with activations
- *    A[k] ≈ qa[k] * sa + amin,
- *
- *      sum_k A[k] W[j][k] ≈ (sa * scaleW[j]) * dot_s32 + amin * colWsum[j]
- *
- *    so the float epilogue is one fma per output on top of bias+ReLU.
- */
-class PackedWeightsInt8
-{
-  public:
-    /** Output neurons per packed panel (one AVX-512 epilogue vector). */
-    static constexpr std::size_t panelWidth = 16;
-
-    /** Creates an empty pack (inDim() == outDim() == 0). */
-    PackedWeightsInt8() = default;
-
-    /**
-     * Quantizes and packs @p weights (row-major [out_dim x in_dim]).
-     *
-     * @throws std::invalid_argument when weights is null but the
-     *         shape is non-empty.
-     */
-    PackedWeightsInt8(const float *weights, std::size_t in_dim,
-                      std::size_t out_dim);
-
-    std::size_t inDim() const { return _inDim; }
-    std::size_t outDim() const { return _outDim; }
-    bool empty() const { return _outDim == 0; }
-
-    /** Depth rounded up to a multiple of 4 (k-pair granularity of
-     *  maddubs, k-quad granularity of vpdpbusd). */
-    std::size_t paddedK() const { return _paddedK; }
-
-    /** Number of panels: ceil(outDim / panelWidth). */
-    std::size_t
-    numPanels() const
-    {
-        return (_outDim + panelWidth - 1) / panelWidth;
-    }
-
-    /** Packed panel @p p: [paddedK/2 x 32] s8 codes, 64B-aligned. */
-    const std::int8_t *
-    panel(std::size_t p) const
-    {
-        return _data.data() + p * _paddedK * panelWidth;
-    }
-
-    /** Same codes in the VNNI quad layout: [paddedK/4 x 64] s8. */
-    const std::int8_t *
-    panelVnni(std::size_t p) const
-    {
-        return _vnni.data() + p * _paddedK * panelWidth;
-    }
-
-    /** Per-column weight scale, zero-padded to numPanels * 16. */
-    const float *colScale() const { return _colScale.data(); }
-
-    /** Per-column scaleW[j] * sum_k qw[j][k], same padding. */
-    const float *colWsum() const { return _colWsum.data(); }
-
-    /** Bytes of packed code storage (both layouts, incl. padding). */
-    std::size_t bytes() const { return _data.size() + _vnni.size(); }
-
-  private:
-    std::size_t _inDim = 0;
-    std::size_t _outDim = 0;
-    std::size_t _paddedK = 0;
-    std::vector<std::int8_t, AlignedAllocator<std::int8_t>> _data;
-    std::vector<std::int8_t, AlignedAllocator<std::int8_t>> _vnni;
-    std::vector<float> _colScale;
-    std::vector<float> _colWsum;
-};
-
-/**
  * Register-blocking parameters for one packed dense-layer call.
  * Zero fields mean "use the level/shape default".
  */
@@ -298,26 +193,21 @@ class GemmTileCache
      * Cached tile for this point, or defaultGemmTile on a miss.
      * @p trans keys the n-major (transposed-activation) engine
      * variant separately — its streaming pattern over the activations
-     * differs, so the best blocking can too. @p dtype keys the u8·s8
-     * engine (Int8) separately from the fp32 kernels: its arithmetic
-     * density and panel footprint differ, so the best mr can too.
+     * differs, so the best blocking can too.
      */
     GemmTile lookup(std::size_t batch, std::size_t in_dim,
                     std::size_t out_dim, SimdLevel level,
-                    bool trans = false,
-                    EmbDtype dtype = EmbDtype::Fp32) const;
+                    bool trans = false) const;
 
     /** True when this exact point has an autotuned entry. */
     bool contains(std::size_t batch, std::size_t in_dim,
                   std::size_t out_dim, SimdLevel level,
-                  bool trans = false,
-                  EmbDtype dtype = EmbDtype::Fp32) const;
+                  bool trans = false) const;
 
-    /** Installs @p tile for (bucketOf(batch), shape, level, trans,
-     *  dtype). */
+    /** Installs @p tile for (bucketOf(batch), shape, level, trans). */
     void install(std::size_t batch, std::size_t in_dim,
                  std::size_t out_dim, SimdLevel level, GemmTile tile,
-                 bool trans = false, EmbDtype dtype = EmbDtype::Fp32);
+                 bool trans = false);
 
     /** Number of installed entries. */
     std::size_t size() const;
@@ -326,8 +216,7 @@ class GemmTileCache
     void clear();
 
   private:
-    using Key =
-        std::tuple<int, std::size_t, std::size_t, int, int, int>;
+    using Key = std::tuple<int, std::size_t, std::size_t, int, int>;
 
     mutable std::mutex _mu;
     std::map<Key, GemmTile> _tiles;
@@ -392,72 +281,6 @@ void denseLayerForwardPackedTransLevel(SimdLevel level,
                                        const float *bias, float *out,
                                        bool relu,
                                        const GemmTile& tile = {});
-
-/**
- * Quantizes a GEMM activation block to uint8 codes for the u8·s8
- * microkernel: one affine (scale, bias) pair for the whole
- * [batch x k] tensor with qmax = 127 — the cap keeps every maddubs
- * pair product at <= 127*127*2 = 32258, inside s16, so the integer
- * accumulation is exact (no saturation) and therefore bitwise
- * invariant across SimdLevels, tiles, and batch positions.
- *
- * Codes land in @p qout with row stride @p kp (the pack's paddedK());
- * pad bytes are zeroed. Returns the (scale, bias) pair the epilogue
- * needs. @p qout must hold batch * kp bytes.
- */
-QuantParams quantizeActivationsInt8(const float *in, std::size_t batch,
-                                    std::size_t k, std::size_t kp,
-                                    std::uint8_t *qout);
-
-/**
- * u8·s8 packed dense layer: out = act(in * W^T + b) where @p qin holds
- * uint8 activation codes (row stride w.paddedK(), from
- * quantizeActivationsInt8) and @p w the s8-quantized panels. The
- * microkernel accumulates maddubs pair-dots into s32 registers — exact
- * integer arithmetic — and the fused epilogue dequantizes, adds bias,
- * and applies ReLU in one register pass:
- *
- *   v = fmaf((float)dot, ascale * colScale[j],
- *            fmaf(amin, colWsum[j], bias[j]))
- *
- * The scalar mirror performs the identical chain per element, so
- * results are bitwise invariant across SimdLevels, tiles, and batch
- * positions (the s32 dot is exact; the float epilogue is a fixed
- * 3-op chain per output).
- *
- * Same degenerate-shape contract as denseLayerForward. Performs no
- * heap allocation.
- *
- * @param ascale Activation scale from quantizeActivationsInt8.
- * @param amin Activation bias (minimum) from quantizeActivationsInt8.
- */
-void denseLayerForwardPackedInt8(const std::uint8_t *qin,
-                                 std::size_t batch,
-                                 const PackedWeightsInt8& w,
-                                 const float *bias, float *out,
-                                 bool relu, float ascale, float amin);
-
-/** denseLayerForwardPackedInt8 with a forced ISA level and explicit
- *  tile (testing / ablation / autotuning; only tile.mr matters — the
- *  integer kernel always runs the full depth). */
-void denseLayerForwardPackedInt8Level(SimdLevel level,
-                                      const std::uint8_t *qin,
-                                      std::size_t batch,
-                                      const PackedWeightsInt8& w,
-                                      const float *bias, float *out,
-                                      bool relu, float ascale,
-                                      float amin,
-                                      const GemmTile& tile = {});
-
-/**
- * Convenience fp32-in/fp32-out wrapper: quantizes @p in into
- * @p qscratch (resized to batch * w.paddedK()) and runs the packed
- * u8·s8 forward. Allocation-free once qscratch has warmed up.
- */
-void denseLayerForwardInt8(const float *in, std::size_t batch,
-                           const PackedWeightsInt8& w, const float *bias,
-                           float *out, bool relu,
-                           std::vector<std::uint8_t>& qscratch);
 
 /** Logistic sigmoid applied elementwise in place. */
 void sigmoidInplace(float *data, std::size_t n);

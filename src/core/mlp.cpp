@@ -30,8 +30,6 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, std::uint64_t seed)
         _biases.push_back(std::move(b));
         _packed.emplace_back(_weights.back().data(), dims[l],
                              dims[l + 1]);
-        _packedInt8.emplace_back(_weights.back().data(), dims[l],
-                                 dims[l + 1]);
     }
 }
 
@@ -58,8 +56,6 @@ Mlp::Mlp(const std::vector<std::size_t>& dims,
                 " has the wrong shape");
         }
         _packed.emplace_back(_weights[l].data(), dims[l], dims[l + 1]);
-        _packedInt8.emplace_back(_weights[l].data(), dims[l],
-                                 dims[l + 1]);
     }
 }
 
@@ -69,15 +65,6 @@ Mlp::packedBytes() const
     std::size_t n = 0;
     for (const auto& p : _packed)
         n += p.bytes();
-    return n;
-}
-
-std::size_t
-Mlp::maxPaddedK() const
-{
-    std::size_t n = 0;
-    for (const auto& p : _packedInt8)
-        n = std::max(n, p.paddedK());
     return n;
 }
 
@@ -126,39 +113,6 @@ Mlp::forward(const Tensor& in, Tensor& out, Tensor& scratch_a,
         dst.reshape(batch, od);
         denseLayerForwardPacked(src, batch, _packed[l],
                                 _biases[l].data(), dst.data(), !last);
-        src = dst.data();
-    }
-}
-
-void
-Mlp::forwardInt8(const Tensor& in, Tensor& out) const
-{
-    Tensor scratch_a, scratch_b;
-    std::vector<std::uint8_t> qscratch;
-    forwardInt8(in, out, scratch_a, scratch_b, qscratch);
-}
-
-void
-Mlp::forwardInt8(const Tensor& in, Tensor& out, Tensor& scratch_a,
-                 Tensor& scratch_b,
-                 std::vector<std::uint8_t>& qscratch) const
-{
-    assert(in.cols() == inputDim());
-    const std::size_t batch = in.rows();
-
-    const float *src = in.data();
-    for (std::size_t l = 0; l < _weights.size(); ++l) {
-        const bool last = (l + 1 == _weights.size());
-        const std::size_t od = _dims[l + 1];
-        Tensor& dst = last ? out : (l % 2 == 0 ? scratch_a : scratch_b);
-        dst.reshape(batch, od);
-        const PackedWeightsInt8& w = _packedInt8[l];
-        qscratch.resize(batch * w.paddedK());
-        const QuantParams qp = quantizeActivationsInt8(
-            src, batch, w.inDim(), w.paddedK(), qscratch.data());
-        denseLayerForwardPackedInt8(qscratch.data(), batch, w,
-                                    _biases[l].data(), dst.data(),
-                                    !last, qp.scale, qp.bias);
         src = dst.data();
     }
 }

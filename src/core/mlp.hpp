@@ -42,9 +42,9 @@ class Mlp
     /**
      * Rebuilds an MLP from explicit layer parameters (a snapshot's
      * MLP section): weights[l] is [dims[l+1] x dims[l]], biases[l]
-     * has dims[l+1] entries. Both packed-weight engines are rebuilt
-     * from the adopted fp32 weights, so forwards through a loaded MLP
-     * are bitwise-identical to the saved one's.
+     * has dims[l+1] entries. The panel packs are rebuilt from the
+     * adopted fp32 weights, so forwards through a loaded MLP are
+     * bitwise-identical to the saved one's.
      *
      * @throws std::invalid_argument on a size list shorter than 2 or
      *         any layer whose weight/bias shape mismatches @p dims.
@@ -102,41 +102,13 @@ class Mlp
                                Tensor& scratch_b) const;
 
     /**
-     * forward() through the u8·s8 packed engine: each layer quantizes
-     * its input activations to uint8 (per-tensor, qmax 127) and runs
-     * the int8 microkernels against the layer's s8-quantized weights
-     * with the fused dequant+bias+ReLU epilogue. An approximation of
-     * the fp32 forward (weights carry ~7 bits, activations re-quantize
-     * per layer) — accuracy-budget-tested, not bitwise-comparable to
-     * fp32; but bitwise deterministic and SimdLevel/tile/batch-position
-     * invariant in its own right.
-     */
-    void forwardInt8(const Tensor& in, Tensor& out) const;
-
-    /**
-     * forwardInt8() with caller-owned scratch: @p qscratch stages each
-     * layer's quantized activation codes. Heap-allocation-free once
-     * the scratch capacities have warmed up.
-     */
-    void forwardInt8(const Tensor& in, Tensor& out, Tensor& scratch_a,
-                     Tensor& scratch_b,
-                     std::vector<std::uint8_t>& qscratch) const;
-
-    /**
      * Panel-packed weights of layer @p l, built once at construction
-     * and shared read-only by every forward (both overloads run
+     * and shared read-only by every forward (every overload runs
      * through the packed microkernel engine).
      */
     const PackedWeights& packedLayer(std::size_t l) const
     {
         return _packed[l];
-    }
-
-    /** Int8-quantized panel pack of layer @p l (the forwardInt8 path),
-     *  also built once at construction. */
-    const PackedWeightsInt8& packedInt8Layer(std::size_t l) const
-    {
-        return _packedInt8[l];
     }
 
     /** fp32 weight matrix of layer @p l ([dims[l+1] x dims[l]]) — the
@@ -156,16 +128,11 @@ class Mlp
      *  prepack overhead on top of the nn.Linear weights). */
     std::size_t packedBytes() const;
 
-    /** Largest paddedK across layers (sizing for int8 activation
-     *  staging buffers: batch * maxPaddedK bytes cover every layer). */
-    std::size_t maxPaddedK() const;
-
   private:
     std::vector<std::size_t> _dims;
     std::vector<Tensor> _weights;          //!< per layer [out x in]
     std::vector<std::vector<float>> _biases;
     std::vector<PackedWeights> _packed;    //!< per layer panel pack
-    std::vector<PackedWeightsInt8> _packedInt8; //!< u8·s8 path pack
 };
 
 } // namespace dlrmopt::core

@@ -47,8 +47,7 @@ embDtypeBits(EmbDtype dtype)
 }
 
 QuantParams
-quantizeBlockInt8(const float *src, std::size_t n, std::uint8_t *dst,
-                  int qmax)
+quantizeBlockInt8(const float *src, std::size_t n, std::uint8_t *dst)
 {
     QuantParams p;
     if (n == 0)
@@ -59,12 +58,11 @@ quantizeBlockInt8(const float *src, std::size_t n, std::uint8_t *dst,
         hi = std::fmax(hi, src[i]);
     }
     p.bias = lo;
-    p.scale = hi > lo ? (hi - lo) / static_cast<float>(qmax) : 1.0f;
+    p.scale = hi > lo ? (hi - lo) / 255.0f : 1.0f;
     const float inv = 1.0f / p.scale;
     for (std::size_t i = 0; i < n; ++i) {
         const float q = std::nearbyintf((src[i] - p.bias) * inv);
-        const float c = std::fmin(std::fmax(q, 0.0f),
-                                  static_cast<float>(qmax));
+        const float c = std::fmin(std::fmax(q, 0.0f), 255.0f);
         dst[i] = static_cast<std::uint8_t>(c);
     }
     return p;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Reduced-precision storage types for embedding rows and the
- * activation/weight quantization helpers shared by the fused-dequant
- * embedding_bag kernels and the u8·s8 packed GEMM path.
+ * quantization helpers of the fused-dequant embedding_bag kernels.
+ * The MLPs run fp32 at every dtype.
  *
  * Two storage dtypes below fp32:
  *
@@ -12,11 +12,11 @@
  *    value is exact and bitwise-deterministic on every ISA.
  *
  *  - int8: asymmetric per-block affine quantization. A block (one
- *    embedding row, or one GEMM operand tensor) stores uint8 codes q
- *    plus (scale, bias) metadata with value ≈ q * scale + bias, where
- *    scale = (max - min) / range and bias = min. Dequantization is a
- *    single fma per element, which is what lets the bag kernels fuse
- *    it into the accumulate without a second pass over the bytes.
+ *    embedding row) stores uint8 codes q plus (scale, bias) metadata
+ *    with value ≈ q * scale + bias, where scale = (max - min) / 255
+ *    and bias = min. Dequantization is a single fma per element,
+ *    which is what lets the bag kernels fuse it into the accumulate
+ *    without a second pass over the bytes.
  *
  * Codes are quantized with nearbyintf (round-to-nearest-even), the
  * scalar twin of the vector cvtps rounding mode, so quantization is
@@ -34,8 +34,8 @@
 namespace dlrmopt::core
 {
 
-/** Storage precision of an embedding table (and, for Int8, the MLP
- *  GEMM path a degraded forward runs through). */
+/** Storage precision of an embedding table. The MLPs run fp32 at
+ *  every dtype. */
 enum class EmbDtype
 {
     Fp32,
@@ -81,16 +81,13 @@ struct QuantParams
 };
 
 /**
- * Quantizes @p n floats to uint8 codes in [0, qmax] with the affine
- * min/max scheme: scale = (max - min) / qmax, bias = min,
+ * Quantizes @p n floats to uint8 codes in [0, 255] with the affine
+ * min/max scheme: scale = (max - min) / 255, bias = min,
  * code = nearbyintf((v - bias) / scale). A constant block (max == min)
  * gets scale 1 and all-zero codes, so dequantization is exact.
- *
- * @param qmax Top of the code range: 255 for storage rows, 127 for
- *        GEMM activations (keeping u8·s8 pair products inside s16).
  */
 QuantParams quantizeBlockInt8(const float *src, std::size_t n,
-                              std::uint8_t *dst, int qmax = 255);
+                              std::uint8_t *dst);
 
 } // namespace dlrmopt::core
 

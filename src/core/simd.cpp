@@ -31,8 +31,6 @@ cpuSupports(const char *feature)
 
 std::atomic<SimdLevel> activeLevel{detectSimdLevel()};
 
-std::atomic<bool> vnniActive{cpuHasAvx512Vnni()};
-
 } // namespace
 
 SimdLevel
@@ -45,31 +43,6 @@ detectSimdLevel()
         return SimdLevel::Avx2;
 #endif
     return SimdLevel::Scalar;
-}
-
-bool
-cpuHasAvx512Vnni()
-{
-#if DLRMOPT_X86
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512vnni");
-#else
-    return false;
-#endif
-}
-
-bool
-setVnniEnabled(bool enabled)
-{
-    const bool actual = enabled && cpuHasAvx512Vnni();
-    vnniActive.store(actual, std::memory_order_relaxed);
-    return actual;
-}
-
-bool
-vnniEnabled()
-{
-    return vnniActive.load(std::memory_order_relaxed);
 }
 
 std::string

@@ -46,7 +46,8 @@ DegradationPolicy::stateForTier(int tier)
 {
     // Precision speedups the ladder assumes when pricing runs off the
     // single base ServiceModel: bf16 bags halve the dominant
-    // embedding-bandwidth term, int8 also accelerates the MLPs.
+    // embedding-bandwidth term and int8 bags quarter it; the MLPs run
+    // fp32 at every tier.
     constexpr double kBf16Speedup = 0.85;
     constexpr double kInt8Speedup = 0.75;
 

@@ -10,7 +10,8 @@
  *
  *   tier 0  fp32, full batch, prefetching on, MP-HT stage overlap
  *   tier 1  bf16 embedding bags (half the bag bandwidth; MLPs fp32)
- *   tier 2  int8 embedding bags + u8·s8 MLP engine
+ *   tier 2  int8 embedding bags (a quarter of the bag bandwidth;
+ *           MLPs fp32)
  *   tier 3  + batch shrunk to half (sheds work per request)
  *   tier 4  + software-prefetch autotuning disabled (fixed kernel, no
  *             tuning overhead or mistuned-prefetch cache pollution)
@@ -69,10 +70,10 @@ struct DegradeState
     core::Scheme scheme = core::Scheme::MpHt;
 
     /**
-     * Inference precision the tier executes at. Quantized tiers run
-     * the fused-dequant bags over the model's attached quantized
-     * store (graceful fp32 fallback when none is attached) and, for
-     * Int8, the u8·s8 packed MLP engine.
+     * Embedding storage format the tier executes at. Quantized tiers
+     * run the fused-dequant bags over the model's attached quantized
+     * store (graceful fp32 fallback when none is attached); the MLPs
+     * run fp32 at every tier.
      */
     core::EmbDtype dtype = core::EmbDtype::Fp32;
 

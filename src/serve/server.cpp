@@ -220,9 +220,9 @@ Server::executeAttempt(std::size_t core, const core::Tensor& dense,
         auto bottom_done = std::make_shared<std::promise<void>>();
         auto bottom_fut = bottom_done->get_future().share();
         auto f1 = _pool.submit(
-            core, [this, &dense, &ws, bottom_done, dtype] {
+            core, [this, &dense, &ws, bottom_done] {
                 try {
-                    _model.bottomForward(dense, ws.bottomOut, dtype);
+                    _model.bottomForward(dense, ws.bottomOut);
                     bottom_done->set_value();
                 } catch (...) {
                     bottom_done->set_exception(
@@ -241,7 +241,7 @@ Server::executeAttempt(std::size_t core, const core::Tensor& dense,
                 _model.interactionForward(ws.bottomOut, ws.embOut,
                                           sparse.batchSize,
                                           ws.interOut);
-                _model.topForward(ws.interOut, ws.pred, dtype);
+                _model.topForward(ws.interOut, ws.pred);
             });
         // Both tasks reference this frame's workspace: wait for both
         // before any exception can unwind it.

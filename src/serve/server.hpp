@@ -25,8 +25,9 @@
  *  - degrades gracefully under tail-latency pressure via
  *    DegradationPolicy (drop precision fp32 -> bf16 -> int8, then
  *    shrink batch -> disable prefetch -> go sequential): quantized
- *    tiers run the fused-dequant bags and u8·s8 MLP engine, trading
- *    bounded accuracy for bandwidth before any request is shed;
+ *    tiers run the fused-dequant embedding bags over fp32 MLPs,
+ *    trading bounded accuracy for bandwidth before any request is
+ *    shed;
  *  - tolerates injected faults (serve/fault.hpp): task exceptions,
  *    allocation failures, poisoned embedding indices, and straggler
  *    cores never crash the process — they surface as retries/failures

@@ -15,6 +15,7 @@
 
 #include "core/batching.hpp"
 #include "core/dlrm.hpp"
+#include "core/embedding_store.hpp"
 #include "core/errors.hpp"
 #include "core/simd.hpp"
 #include "trace/generator.hpp"
@@ -185,30 +186,43 @@ class ForwardWorkspaceTest : public ::testing::Test
 
 TEST_F(ForwardWorkspaceTest, CoalescedForwardIsBitwiseIdentical)
 {
-    ForwardWorkspace ws;
-    ws.reserve(model, 16, tinyModel().lookups);
+    // At every storage dtype: the members' dense inputs differ, so
+    // any batch-wide quantity in the forward (a shared activation
+    // range, say) would make a member's predictions depend on the
+    // requests it is coalesced with.
+    for (const EmbDtype dt : {EmbDtype::Bf16, EmbDtype::Int8})
+        model.attachQuantizedStore(
+            EmbeddingStore::create(tinyModel(), 17, 256, dt));
 
-    const SparseBatch& merged =
-        ws.coalesce(partPtrs(), densePtrs());
-    EXPECT_EQ(merged.batchSize, 16u);
-    const Tensor& pred =
-        ws.forward(model, ws.stagedDense(), merged);
+    for (const EmbDtype dtype :
+         {EmbDtype::Fp32, EmbDtype::Bf16, EmbDtype::Int8}) {
+        ForwardWorkspace ws;
+        ws.reserve(model, 16, tinyModel().lookups);
 
-    std::vector<std::size_t> sizes;
-    for (const auto& b : parts)
-        sizes.push_back(b.batchSize);
-    std::vector<core::PredictionSpan> spans;
-    splitPredictions(pred, sizes, spans);
+        const SparseBatch& merged =
+            ws.coalesce(partPtrs(), densePtrs());
+        EXPECT_EQ(merged.batchSize, 16u);
+        const Tensor& pred =
+            ws.forward(model, ws.stagedDense(), merged, {}, dtype);
 
-    // Reference: each member forwarded alone through the stock path.
-    DlrmWorkspace ref;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        model.forward(dense[i], parts[i], ref);
-        ASSERT_EQ(ref.pred.rows(), spans[i].batch);
-        EXPECT_EQ(std::memcmp(spans[i].data, ref.pred.data(),
-                              spans[i].batch * sizeof(float)),
-                  0)
-            << "member " << i << " diverged";
+        std::vector<std::size_t> sizes;
+        for (const auto& b : parts)
+            sizes.push_back(b.batchSize);
+        std::vector<core::PredictionSpan> spans;
+        splitPredictions(pred, sizes, spans);
+
+        // Reference: each member forwarded alone through the stock
+        // path.
+        DlrmWorkspace ref;
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+            model.forward(dense[i], parts[i], ref, {}, dtype);
+            ASSERT_EQ(ref.pred.rows(), spans[i].batch);
+            EXPECT_EQ(std::memcmp(spans[i].data, ref.pred.data(),
+                                  spans[i].batch * sizeof(float)),
+                      0)
+                << "member " << i << " diverged at "
+                << embDtypeName(dtype);
+        }
     }
 }
 

@@ -571,92 +571,6 @@ TEST(GemmTileCache, InstallLookupAndBucketSharing)
     EXPECT_EQ(cache.size(), 0u);
 }
 
-/** The VNNI quad layout must hold the identical codes as the maddubs
- *  pair layout — only the interleave differs. */
-TEST(PackedWeightsInt8, VnniPanelHoldsSameCodes)
-{
-    const std::size_t in_dim = 27, out_dim = 21; // odd depth + tail
-    std::vector<float> w(out_dim * in_dim);
-    for (std::size_t i = 0; i < w.size(); ++i)
-        w[i] = std::sin(static_cast<float>(i) * 0.37f);
-    const PackedWeightsInt8 pack(w.data(), in_dim, out_dim);
-
-    // paddedK is a multiple of 4 (k-quad granularity of vpdpbusd).
-    EXPECT_EQ(pack.paddedK() % 4, 0u);
-    EXPECT_GE(pack.paddedK(), in_dim);
-
-    constexpr std::size_t pw = PackedWeightsInt8::panelWidth;
-    for (std::size_t p = 0; p < pack.numPanels(); ++p) {
-        const std::int8_t *pair = pack.panel(p);
-        const std::int8_t *quad = pack.panelVnni(p);
-        for (std::size_t k = 0; k < pack.paddedK(); ++k) {
-            for (std::size_t j = 0; j < pw; ++j) {
-                EXPECT_EQ(pair[(k / 2) * 2 * pw + j * 2 + (k & 1)],
-                          quad[(k / 4) * 4 * pw + j * 4 + (k & 3)])
-                    << "panel " << p << " k " << k << " j " << j;
-            }
-        }
-    }
-}
-
-/**
- * The vpdpbusd path must be bitwise-identical to the widening
- * (maddubs) path: both accumulate the exact integer dot, and the
- * float epilogue is shared. Runs only where the host exposes VNNI
- * (elsewhere setVnniEnabled(true) clamps to off and the paths are
- * trivially the same code).
- */
-TEST(PackedWeightsInt8, VnniBitwiseMatchesWideningPath)
-{
-    if (detectSimdLevel() != SimdLevel::Avx512)
-        GTEST_SKIP() << "needs AVX-512";
-    const bool hadVnni = vnniEnabled();
-    const struct Restore
-    {
-        bool v;
-        ~Restore() { setVnniEnabled(v); }
-    } restore{hadVnni};
-
-    for (const auto [in_dim, out_dim, batch] :
-         {std::tuple<std::size_t, std::size_t, std::size_t>{64, 32, 8},
-          {27, 21, 5},  // odd depth, tail panel, odd batch
-          {13, 1, 1},   // GEMV
-          {128, 64, 17}}) {
-        std::vector<float> w(out_dim * in_dim), in(batch * in_dim);
-        std::vector<float> bias(out_dim);
-        for (std::size_t i = 0; i < w.size(); ++i)
-            w[i] = std::cos(static_cast<float>(i) * 0.21f) * 0.4f;
-        for (std::size_t i = 0; i < in.size(); ++i)
-            in[i] = std::sin(static_cast<float>(i) * 0.83f);
-        for (std::size_t i = 0; i < bias.size(); ++i)
-            bias[i] = 0.02f * static_cast<float>(i) - 0.3f;
-
-        const PackedWeightsInt8 pack(w.data(), in_dim, out_dim);
-        std::vector<std::uint8_t> qin(batch * pack.paddedK());
-        const QuantParams qp = quantizeActivationsInt8(
-            in.data(), batch, in_dim, pack.paddedK(), qin.data());
-
-        std::vector<float> widened(batch * out_dim, -7.0f);
-        std::vector<float> vnni(batch * out_dim, 3.0f);
-
-        ASSERT_FALSE(setVnniEnabled(false));
-        denseLayerForwardPackedInt8Level(
-            SimdLevel::Avx512, qin.data(), batch, pack, bias.data(),
-            widened.data(), true, qp.scale, qp.bias);
-
-        if (!setVnniEnabled(true))
-            GTEST_SKIP() << "host has no AVX512-VNNI";
-        denseLayerForwardPackedInt8Level(
-            SimdLevel::Avx512, qin.data(), batch, pack, bias.data(),
-            vnni.data(), true, qp.scale, qp.bias);
-
-        for (std::size_t i = 0; i < widened.size(); ++i)
-            ASSERT_EQ(widened[i], vnni[i])
-                << "element " << i << " (" << in_dim << "x" << out_dim
-                << " batch " << batch << ")";
-    }
-}
-
 TEST(Sigmoid, MapsToUnitInterval)
 {
     float v[] = {-100.0f, -1.0f, 0.0f, 1.0f, 100.0f};

@@ -502,12 +502,12 @@ cmdGemmTune(const ParsedArgs& args, std::ostream& out)
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     if (repeats < 1)
         throw std::invalid_argument("--repeats must be >= 1");
-    const core::EmbDtype dtype = parseDtypeOption(args);
-    if (dtype == core::EmbDtype::Bf16) {
+    if (args.has("dtype")) {
+        // Unknown options are otherwise ignored; reject this one so a
+        // script still passing it learns that nothing int8 is tuned.
         throw std::invalid_argument(
-            "--dtype bf16: bf16 is an embedding-storage format; the "
-            "MLPs run the fp32 GEMM engine for it — tune fp32 or "
-            "int8");
+            "gemmtune takes no --dtype (got " + args.get("dtype") +
+            "): the MLPs run the fp32 engine at every embedding dtype");
     }
 
     std::vector<std::size_t> batches;
@@ -521,8 +521,7 @@ cmdGemmTune(const ParsedArgs& args, std::ostream& out)
     }
 
     const auto level = core::currentSimdLevel();
-    out << model.name << " MLP tile autotune ("
-        << core::embDtypeName(dtype) << ") @ "
+    out << model.name << " MLP tile autotune @ "
         << core::simdLevelName(level) << " (panel width "
         << core::PackedWeights::panelWidth << ", max microtile rows "
         << core::gemmMaxRows(level) << ")\n";
@@ -535,7 +534,7 @@ cmdGemmTune(const ParsedArgs& args, std::ostream& out)
         const auto dims =
             bottom ? model.bottomMlp : model.topMlpDims();
         const auto results =
-            core::tuneMlpGemm(dims, batches, repeats, seed, dtype);
+            core::tuneMlpGemm(dims, batches, repeats, seed);
         for (const auto& r : results) {
             char buf[160];
             std::snprintf(buf, sizeof(buf),
@@ -1455,15 +1454,15 @@ usage()
            "  --m N (tune one coalesced batch size; default: one "
            "per m-bucket)\n"
            "  --quick (m in {1,16} only)\n"
-           "  --dtype fp32|int8 (fp32 packed engine or the u8·s8 "
-           "quantized engine)\n"
            "\n"
            "serve options:\n"
            "  --arrival-ms X --requests N --sla X --service-ms X\n"
            "  --cores N --retries N --no-admission --batch-size N\n"
            "  --max-bytes X (embedding scale-down budget)\n"
-           "  --dtype fp32|bf16|int8 (serving precision floor; "
-           "quantized store attached)\n"
+           "  --dtype fp32|bf16|int8 (embedding storage floor; "
+           "quantized store\n"
+           "                         attached, MLPs fp32 at every "
+           "dtype)\n"
            "  --fault-exception-rate P --fault-alloc-rate P\n"
            "  --fault-corrupt-rate P --fault-straggler-core N\n"
            "  --fault-straggler-factor X\n"
