@@ -40,6 +40,33 @@ quickMode()
     return v && v[0] && std::strcmp(v, "0") != 0;
 }
 
+/**
+ * This host's last-level cache in bytes: the largest cache cpu0
+ * reports in sysfs ("32K", "2048K", "300M"), 0 when unreadable.
+ * Benches size "cold" stores from it so cold rows come from DRAM.
+ */
+inline std::size_t
+llcBytes()
+{
+    std::size_t best = 0;
+    for (int idx = 0; idx < 8; ++idx) {
+        std::ifstream f("/sys/devices/system/cpu/cpu0/cache/index" +
+                        std::to_string(idx) + "/size");
+        std::string s;
+        if (!(f >> s))
+            continue;
+        std::size_t n = 0, i = 0;
+        while (i < s.size() && s[i] >= '0' && s[i] <= '9')
+            n = n * 10 + static_cast<std::size_t>(s[i++] - '0');
+        if (i < s.size() && (s[i] == 'K' || s[i] == 'k'))
+            n <<= 10;
+        else if (i < s.size() && (s[i] == 'M' || s[i] == 'm'))
+            n <<= 20;
+        best = std::max(best, n);
+    }
+    return best;
+}
+
 /** Table-fold cap used by all benches (see EvalConfig::maxSimTables). */
 inline std::size_t
 simTables()

@@ -470,10 +470,9 @@ TenantFleet::serve(const std::vector<TenantWorkload>& work,
         // the tier's own checksums must catch it independently.
         for (const auto& row_tiers : _tiers) {
             for (const auto& t : row_tiers) {
-                if (e.table < t->coldStore()->numTables() &&
-                    e.row < t->coldStore()->rows() &&
-                    e.bit <
-                        t->coldStore()->table(0).storedRowBytes() * 8) {
+                const auto cold = t->coldStore();
+                if (e.table < cold->numTables() && e.row < cold->rows() &&
+                    e.bit < cold->table(0).storedRowBytes() * 8) {
                     t->flipBit(e.table,
                                static_cast<dlrmopt::RowIndex>(e.row),
                                e.bit);
